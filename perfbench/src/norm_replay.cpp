@@ -4,11 +4,13 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <thread>
 
 #include "core/calibration.hpp"
 #include "core/haan_norm.hpp"
 #include "core/provider_factory.hpp"
 #include "obs/trace.hpp"
+#include "serve/server.hpp"
 
 namespace perfbench {
 
@@ -191,10 +193,17 @@ NormError compare_to_reference(const NormCapture& capture,
 }
 
 NormReplayBench::NormReplayBench(std::vector<NormCapture> captures) {
+  const std::size_t lanes = std::min<std::size_t>(
+      serve::ServerConfig{}.workers, std::max(1u, std::thread::hardware_concurrency()));
+  lane_rounds_.assign(lanes, 0);
   for (NormCapture& capture : captures) {
     Model m;
-    m.exact = make_provider("exact", *capture.model, capture.plan, 1);
-    m.haan = make_provider("haan", *capture.model, capture.plan, 1);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      Lane l;
+      l.exact = make_provider("exact", *capture.model, capture.plan, 1);
+      l.haan = make_provider("haan", *capture.model, capture.plan, 1);
+      m.lanes.push_back(std::move(l));
+    }
     m.capture = std::move(capture);
     models_.push_back(std::move(m));
   }
@@ -202,9 +211,11 @@ NormReplayBench::NormReplayBench(std::vector<NormCapture> captures) {
 
 void NormReplayBench::warm_up() {
   for (Model& m : models_) {
-    for (model::NormProvider* provider : {m.exact.get(), m.haan.get()}) {
-      replay(*provider, m.capture, m.capture.rows, nullptr);
-      replay(*provider, m.capture, kSmallPack, nullptr);
+    for (Lane& lane : m.lanes) {
+      for (model::NormProvider* provider : {lane.exact.get(), lane.haan.get()}) {
+        replay(*provider, m.capture, m.capture.rows, nullptr);
+        replay(*provider, m.capture, kSmallPack, nullptr);
+      }
     }
   }
   clear();
@@ -212,51 +223,68 @@ void NormReplayBench::warm_up() {
 
 void NormReplayBench::clear() {
   for (Model& m : models_) {
-    for (auto& row : m.cells) {
-      for (Cell& cell : row) cell = Cell{};
+    for (Lane& lane : m.lanes) {
+      for (auto& row : lane.cells) {
+        for (Cell& cell : row) cell = Cell{};
+      }
+      lane.base = counters_of(*lane.haan);
     }
-    m.base = counters_of(*m.haan);
   }
-  rounds_ = 0;
+  std::fill(lane_rounds_.begin(), lane_rounds_.end(), 0);
 }
 
 HaanCounters NormReplayBench::haan_counters() const {
   HaanCounters sum;
   for (const Model& m : models_) {
-    const HaanCounters now = counters_of(*m.haan);
-    sum.norm_calls += now.norm_calls - m.base.norm_calls;
-    sum.isd_computed += now.isd_computed - m.base.isd_computed;
-    sum.isd_predicted += now.isd_predicted - m.base.isd_predicted;
-    sum.elements_read += now.elements_read - m.base.elements_read;
-    sum.fused_residual_norms += now.fused_residual_norms - m.base.fused_residual_norms;
-    sum.batched_norm_calls += now.batched_norm_calls - m.base.batched_norm_calls;
-    sum.batched_rows += now.batched_rows - m.base.batched_rows;
+    for (const Lane& lane : m.lanes) {
+      const HaanCounters now = counters_of(*lane.haan);
+      const HaanCounters& base = lane.base;
+      sum.norm_calls += now.norm_calls - base.norm_calls;
+      sum.isd_computed += now.isd_computed - base.isd_computed;
+      sum.isd_predicted += now.isd_predicted - base.isd_predicted;
+      sum.elements_read += now.elements_read - base.elements_read;
+      sum.fused_residual_norms += now.fused_residual_norms - base.fused_residual_norms;
+      sum.batched_norm_calls += now.batched_norm_calls - base.batched_norm_calls;
+      sum.batched_rows += now.batched_rows - base.batched_rows;
+    }
   }
   return sum;
 }
 
 void NormReplayBench::run(double seconds, bool trace) {
   const Clock::time_point start = Clock::now();
-  do {
-    for (Model& m : models_) {
-      model::NormProvider* providers[2] = {m.exact.get(), m.haan.get()};
-      for (int p = 0; p < 2; ++p) {
-        for (int s = 0; s < 2; ++s) {
-          Cell& cell = m.cells[p][s];
-          if (trace && cell.layer_ns.empty()) cell.layer_ns.assign(m.capture.layers(), 0.0);
-          const std::size_t pack = s == 0 ? m.capture.rows : kSmallPack;
-          const std::vector<double> packs =
-              replay(*providers[p], m.capture, pack, nullptr, trace ? &cell.layer_ns : nullptr);
-          cell.pass_ns.push_back(std::accumulate(packs.begin(), packs.end(), 0.0));
-          if (trace) ++cell.layer_passes;
+  const auto replay_lane = [&](std::size_t index) {
+    const bool timed_calls = trace && index == 0;
+    do {
+      for (Model& m : models_) {
+        Lane& lane = m.lanes[index];
+        model::NormProvider* providers[2] = {lane.exact.get(), lane.haan.get()};
+        for (int p = 0; p < 2; ++p) {
+          for (int s = 0; s < 2; ++s) {
+            Cell& cell = lane.cells[p][s];
+            if (timed_calls && cell.layer_ns.empty()) {
+              cell.layer_ns.assign(m.capture.layers(), 0.0);
+            }
+            const std::size_t pack = s == 0 ? m.capture.rows : kSmallPack;
+            const std::vector<double> packs = replay(
+                *providers[p], m.capture, pack, nullptr, timed_calls ? &cell.layer_ns : nullptr);
+            cell.pass_ns.push_back(std::accumulate(packs.begin(), packs.end(), 0.0));
+            if (timed_calls) ++cell.layer_passes;
+          }
         }
       }
-    }
-    ++rounds_;
-    // One traced round fits the tracer's per-thread ring; later rounds keep
-    // their per-call clock reads but record no spans.
-    if (trace) obs::tracer().set_enabled(false);
-  } while (seconds_between(start, Clock::now()) < seconds);
+      ++lane_rounds_[index];
+      // One traced round fits the tracer's per-thread rings; later rounds
+      // keep lane 0's per-call clock reads but record no spans.
+      if (timed_calls) obs::tracer().set_enabled(false);
+    } while (seconds_between(start, Clock::now()) < seconds);
+  };
+  std::vector<std::thread> others;
+  for (std::size_t index = 1; index < lane_rounds_.size(); ++index) {
+    others.emplace_back(replay_lane, index);
+  }
+  replay_lane(0);
+  for (std::thread& thread : others) thread.join();
 }
 
 std::uint64_t NormReplayBench::row_layers_per_round() const {
@@ -265,19 +293,26 @@ std::uint64_t NormReplayBench::row_layers_per_round() const {
   return total;
 }
 
-void NormReplayBench::check(Report& report) {
+std::uint64_t NormReplayBench::rounds() const {
+  return std::accumulate(lane_rounds_.begin(), lane_rounds_.end(), std::uint64_t{0});
+}
+
+NormReplayBench::CheckTally NormReplayBench::check(Report& report) {
   // The exact provider computes statistics in double and rounds once to
   // float, so it must match the double reference to float rounding.
   constexpr double kExactTolerance = 1e-5;
   double error_sum = 0.0;
   double error_weight = 0.0;
+  CheckTally tally;
   for (Model& m : models_) {
     const NormCapture& c = m.capture;
     const std::string tag = c.label + ": ";
     report.check(c.rows > 0, tag + "captured the requested norm-input rows");
     if (c.rows == 0) continue;
+    model::NormProvider& exact = *m.lanes.front().exact;
+    model::NormProvider& haan = *m.lanes.front().haan;
     std::vector<float> exact_out(c.layers() * c.rows * c.d);
-    replay(*m.exact, c, c.rows, &exact_out);
+    replay(exact, c, c.rows, &exact_out);
     const NormError exact_error = compare_to_reference(c, exact_out, 1e-5);
     report.check(exact_error.non_finite_rows == 0 &&
                      exact_error.max_rel_element <= kExactTolerance,
@@ -287,11 +322,11 @@ void NormReplayBench::check(Report& report) {
     const std::size_t expected_predicted = c.rows * c.plan.skipped_count();
     std::vector<float> large_out(exact_out.size());
     std::vector<float> small_out(exact_out.size());
-    const std::size_t before_large = isd_predicted(*m.haan);
-    replay(*m.haan, c, c.rows, &large_out);
-    const std::size_t before_small = isd_predicted(*m.haan);
-    replay(*m.haan, c, kSmallPack, &small_out);
-    const std::size_t after = isd_predicted(*m.haan);
+    const std::size_t before_large = isd_predicted(haan);
+    replay(haan, c, c.rows, &large_out);
+    const std::size_t before_small = isd_predicted(haan);
+    replay(haan, c, kSmallPack, &small_out);
+    const std::size_t after = isd_predicted(haan);
     report.check(before_small - before_large == expected_predicted &&
                      after - before_small == expected_predicted,
                  tag + "isd_predicted equals rows x skipped layers (" +
@@ -300,6 +335,10 @@ void NormReplayBench::check(Report& report) {
                  tag + "haan output is identical for large and small packs");
 
     const NormError haan_error = compare_to_reference(c, large_out, 1e-5);
+    const NormError small_error = compare_to_reference(c, small_out, 1e-5);
+    tally.row_layers += 3 * c.rows * c.layers();
+    tally.failed += exact_error.non_finite_rows + haan_error.non_finite_rows +
+                    small_error.non_finite_rows;
     const double bound = haan_error_bound(*c.model, c.plan);
     m.haan_error = haan_error.mean_rel_l2;
     report.check(haan_error.non_finite_rows == 0 && haan_error.mean_rel_l2 <= bound,
@@ -310,10 +349,16 @@ void NormReplayBench::check(Report& report) {
     error_weight += weight;
   }
   haan_error_ = error_weight > 0.0 ? error_sum / error_weight : 0.0;
+  return tally;
 }
 
-double NormReplayBench::median_pass_ns(const Model& m, int provider, int pack) const {
-  return median(m.cells[provider][pack].pass_ns);
+double NormReplayBench::cell_ns(const Model& m, int provider, int pack) const {
+  std::vector<double> pooled;
+  for (const Lane& lane : m.lanes) {
+    const std::vector<double>& passes = lane.cells[provider][pack].pass_ns;
+    pooled.insert(pooled.end(), passes.begin(), passes.end());
+  }
+  return percentile(std::move(pooled), kQuietQuantile);
 }
 
 void NormReplayBench::report_end_to_end(Report& report) const {
@@ -321,8 +366,8 @@ void NormReplayBench::report_end_to_end(Report& report) const {
   double haan_ns = 0.0;
   double elements = 0.0;
   for (const Model& m : models_) {
-    exact_ns += median_pass_ns(m, 0, 0) + median_pass_ns(m, 0, 1);
-    haan_ns += median_pass_ns(m, 1, 0) + median_pass_ns(m, 1, 1);
+    exact_ns += cell_ns(m, 0, 0) + cell_ns(m, 0, 1);
+    haan_ns += cell_ns(m, 1, 0) + cell_ns(m, 1, 1);
     elements += 2.0 * static_cast<double>(m.capture.rows * m.capture.layers() * m.capture.d);
   }
   report.set("norm_exact_ns_el", exact_ns / elements, "ns/el");
@@ -336,23 +381,23 @@ void NormReplayBench::report_per_layer(Report& report) const {
     const double pass_elements = static_cast<double>(c.rows * c.layers() * c.d);
     const std::string suffix = "." + c.label;
     report.set("core.exact_ns_el" + suffix,
-               (median_pass_ns(m, 0, 0) + median_pass_ns(m, 0, 1)) / (2.0 * pass_elements),
+               (cell_ns(m, 0, 0) + cell_ns(m, 0, 1)) / (2.0 * pass_elements),
                "ns/el");
     report.set("core.haan_ns_el" + suffix,
-               (median_pass_ns(m, 1, 0) + median_pass_ns(m, 1, 1)) / (2.0 * pass_elements),
+               (cell_ns(m, 1, 0) + cell_ns(m, 1, 1)) / (2.0 * pass_elements),
                "ns/el");
-    report.set("core.large_pack_ns_el" + suffix, median_pass_ns(m, 1, 0) / pass_elements,
+    report.set("core.large_pack_ns_el" + suffix, cell_ns(m, 1, 0) / pass_elements,
                "ns/el");
-    report.set("core.small_pack_ns_el" + suffix, median_pass_ns(m, 1, 1) / pass_elements,
+    report.set("core.small_pack_ns_el" + suffix, cell_ns(m, 1, 1) / pass_elements,
                "ns/el");
     report.set("core.haan_err" + suffix, m.haan_error, "rel");
 
     // Traced split of HAAN's time between layers whose ISD is computed and
-    // layers whose ISD the predictor supplies (both pack sizes pooled).
+    // layers whose ISD the predictor supplies (lane 0, both pack sizes pooled).
     double computed_ns = 0.0, predicted_ns = 0.0;
     std::size_t computed_layers = 0, predicted_layers = 0, passes = 0;
     for (int s = 0; s < 2; ++s) {
-      const Cell& cell = m.cells[1][s];
+      const Cell& cell = m.lanes.front().cells[1][s];
       passes += cell.layer_passes;
       for (std::size_t layer = 0; layer < cell.layer_ns.size(); ++layer) {
         (c.plan.skips(layer) ? predicted_ns : computed_ns) += cell.layer_ns[layer];
@@ -375,23 +420,16 @@ void NormReplayBench::report_per_layer(Report& report) const {
   }
 }
 
-std::vector<double> NormReplayBench::large_pack_ms() const {
-  std::vector<double> ms;
-  for (const double ns : models_.front().cells[1][0].pass_ns) ms.push_back(ns / 1e6);
-  return ms;
+double NormReplayBench::haan_pack_ms(std::size_t index, bool small) const {
+  const Model& m = models_.at(index);
+  const double packs =
+      small ? std::ceil(static_cast<double>(m.capture.rows) / kSmallPack) : 1.0;
+  return cell_ns(m, 1, small ? 1 : 0) / packs / 1e6;
 }
 
-std::vector<double> NormReplayBench::small_pack_ms() const {
-  const Model& m = models_.front();
-  const double packs = std::ceil(static_cast<double>(m.capture.rows) / kSmallPack);
-  std::vector<double> ms;
-  for (const double ns : m.cells[1][1].pass_ns) ms.push_back(ns / packs / 1e6);
-  return ms;
-}
-
-double NormReplayBench::large_pack_tok_per_s() const {
-  const Model& m = models_.front();
-  return static_cast<double>(m.capture.rows) / (median_pass_ns(m, 1, 0) / 1e9);
+double NormReplayBench::haan_large_pack_rows_per_s(std::size_t index) const {
+  const Model& m = models_.at(index);
+  return static_cast<double>(m.capture.rows) / (cell_ns(m, 1, 0) / 1e9);
 }
 
 }  // namespace perfbench

@@ -79,38 +79,59 @@ NormError compare_to_reference(const NormCapture& capture,
 using HaanCounters = core::HaanNormProvider::Counters;
 
 /// Timed replay of captures through exact and haan providers, shared by all
-/// workloads. Per round each (model, provider, pack size) cell replays the
-/// whole capture once; per-cell figures are medians over rounds. The replay
-/// providers run serially (one norm thread): on a shared host a four-thread
-/// row pool turns any descheduled shard into a stalled pack, which drowned
-/// the providers' own cost; the pooled in-situ cost is core.norm_insitu_ns_el.
+/// workloads. Replay runs on one lane per serving worker the server starts
+/// by default (at most one per hardware thread), all at once, as the server's
+/// workers normalize side by side; each lane has its own serial providers
+/// (one norm thread) and replays every (model, provider, pack size) cell once
+/// per round. A four-thread row pool per provider instead turned any
+/// descheduled shard into a stalled pack. The pooled in-situ cost is
+/// core.norm_insitu_ns_el.
+///
+/// Every round of a cell does identical work, so a cell's figure is the
+/// lower decile of its round times over every lane (kQuietQuantile): on a
+/// shared host, neighbours slow whole stretches of ten seconds and more, by up
+/// to 50%, which moved the median round between launches by 30% while the
+/// lower decile moved by about 5%.
 class NormReplayBench {
  public:
   static constexpr std::size_t kSmallPack = 4;  ///< decode-sized pack
+  static constexpr double kQuietQuantile = 0.1;
 
   explicit NormReplayBench(std::vector<NormCapture> captures);
 
-  /// Untimed warm-up (row pools start, scratch grows) and counter baseline.
+  /// Untimed warm-up (scratch grows) and counter baseline.
   void warm_up();
 
-  /// Replays rounds until `seconds` have passed (at least one round).
-  /// With `trace` each call is timed on its own, and the first round's calls
-  /// are wrapped in benchmark spans (the caller enables the tracer).
+  /// Replays rounds on every lane until `seconds` have passed (at least one
+  /// round each). With `trace` lane 0 times each call on its own, and its
+  /// first round's calls are wrapped in benchmark spans (the caller enables
+  /// the tracer; lane 0 disables it after that round).
   void run(double seconds, bool trace);
 
   /// Forgets every timing and round so far and re-bases the counters.
   void clear();
 
-  /// HAAN execution counters summed over the haan providers since the last
-  /// warm_up() or clear().
+  /// HAAN execution counters summed over every lane's haan providers since
+  /// the last warm_up() or clear().
   HaanCounters haan_counters() const;
 
-  /// Post-window correctness checks and accuracy figures, into `report`.
-  void check(Report& report);
+  /// Row-layers the checks examined and those whose output row held a
+  /// non-finite value.
+  struct CheckTally {
+    std::uint64_t row_layers = 0;
+    std::uint64_t failed = 0;
+  };
 
-  /// Row-layers replayed per round and rounds completed.
+  /// Post-window correctness checks and accuracy figures, into `report`:
+  /// one full-capture pass of exact (512-row packs) and two of haan (512-row
+  /// and 4-row packs) per model on lane 0, compared with the double
+  /// reference.
+  CheckTally check(Report& report);
+
+  /// Row-layers replayed per round of one lane, and rounds completed by all
+  /// lanes together.
   std::uint64_t row_layers_per_round() const;
-  std::uint64_t rounds() const { return rounds_; }
+  std::uint64_t rounds() const;
 
   /// End-to-end metrics: pooled ns per normalized element of each provider
   /// and HAAN's mean relative error (set by check()).
@@ -119,31 +140,37 @@ class NormReplayBench {
   /// Per-layer metrics, suffixed by capture label.
   void report_per_layer(Report& report) const;
 
-  /// Latencies of the first capture's haan provider through its full norm
-  /// stack, one value per round (ms): the 512-row pack, and the mean 4-row
-  /// pack of the round's small-pack pass; and its large-pack token rate.
-  std::vector<double> large_pack_ms() const;
-  std::vector<double> small_pack_ms() const;
-  double large_pack_tok_per_s() const;
+  /// One pack's latency through capture `index`'s full haan norm stack (ms),
+  /// lower decile over rounds: the 512-row pack, or the mean 4-row pack of a
+  /// round's small-pack pass.
+  double haan_pack_ms(std::size_t index, bool small) const;
+  /// Rows per second of capture `index`'s haan stack over 512-row packs.
+  double haan_large_pack_rows_per_s(std::size_t index) const;
 
  private:
   struct Cell {
     std::vector<double> pass_ns;    ///< per round: whole-capture replay time
-    std::vector<double> layer_ns;   ///< traced: per-layer call time, summed
-    std::size_t layer_passes = 0;   ///< traced: passes summed into layer_ns
+    std::vector<double> layer_ns;   ///< traced (lane 0): per-layer call time, summed
+    std::size_t layer_passes = 0;   ///< traced (lane 0): passes summed into layer_ns
   };
-  struct Model {
-    NormCapture capture;
+  /// One lane's providers and timings for one capture.
+  struct Lane {
     std::unique_ptr<model::NormProvider> exact;
     std::unique_ptr<model::NormProvider> haan;
     Cell cells[2][2];  ///< [provider: exact, haan][pack: large, small]
-    double haan_error = 0.0;
     HaanCounters base;  ///< haan counters at the last warm_up()/clear()
   };
+  struct Model {
+    NormCapture capture;
+    std::vector<Lane> lanes;
+    double haan_error = 0.0;
+  };
 
-  double median_pass_ns(const Model& m, int provider, int pack) const;
+  /// One cell's whole-capture pass time: the kQuietQuantile of every lane's
+  /// rounds.
+  double cell_ns(const Model& m, int provider, int pack) const;
   std::vector<Model> models_;
-  std::uint64_t rounds_ = 0;
+  std::vector<std::uint64_t> lane_rounds_;  ///< rounds completed per lane
   double haan_error_ = 0.0;
 };
 

@@ -39,10 +39,19 @@ struct Open {
 struct ThreadState {
   std::string name;
   std::vector<Open> stack;
-  bool seen = false;
-  double first_us = 0.0;
-  double last_us = 0.0;
-  double top_level_us = 0.0;
+  double forward_end_us = -1.0;    ///< end of the last top-level forward, if open
+  double complete_end_us = -1.0;   ///< end of the last complete after it
+  double complete_us = 0.0;        ///< complete-span time since forward_end_us
+  double untraced_us = 0.0;
+
+  /// Closes the post-forward interval at the last completion, if any.
+  void close_post_forward() {
+    if (forward_end_us >= 0.0 && complete_end_us >= 0.0) {
+      untraced_us += complete_end_us - forward_end_us - complete_us;
+    }
+    forward_end_us = complete_end_us = -1.0;
+    complete_us = 0.0;
+  }
 };
 
 }  // namespace
@@ -74,14 +83,10 @@ TraceStats analyze_chrome_trace(const std::string& json) {
     }
     double ts = 0.0;
     if (!number_field(line, "ts", ts)) continue;
-    if (!thread.seen) {
-      thread.seen = true;
-      thread.first_us = ts;
-    }
-    thread.last_us = ts;
     if (ph == "B") {
       Open open;
       open.name = string_field(line, "name");
+      if (thread.stack.empty() && open.name != "complete") thread.close_post_forward();
       open.phase = string_field(line, "phase");
       open.begin_us = ts;
       double rows = 0.0;
@@ -96,10 +101,14 @@ TraceStats analyze_chrome_trace(const std::string& json) {
       totals.total_ms += duration / 1000.0;
       totals.self_ms += (duration - open.child_us) / 1000.0;
       totals.rows += static_cast<std::uint64_t>(open.rows);
-      if (thread.stack.empty()) {
-        thread.top_level_us += duration;
-      } else {
+      if (!thread.stack.empty()) {
         thread.stack.back().child_us += duration;
+      } else if (open.name == "forward") {
+        thread.close_post_forward();
+        thread.forward_end_us = ts;
+      } else if (open.name == "complete" && thread.forward_end_us >= 0.0) {
+        thread.complete_end_us = ts;
+        thread.complete_us += duration;
       }
       if (open.name == "forward") {
         stats.forward_ms[open.phase.empty() ? "prefill" : open.phase].push_back(
@@ -107,10 +116,10 @@ TraceStats analyze_chrome_trace(const std::string& json) {
       }
     }
   }
-  for (const auto& [tid, thread] : threads) {
-    if (thread.name.rfind("worker-", 0) != 0 || !thread.seen) continue;
-    stats.worker_untraced_ms +=
-        (thread.last_us - thread.first_us - thread.top_level_us) / 1000.0;
+  for (auto& [tid, thread] : threads) {
+    if (thread.name.rfind("worker-", 0) != 0) continue;
+    thread.close_post_forward();
+    stats.worker_untraced_ms += thread.untraced_us / 1000.0;
   }
   return stats;
 }

@@ -2,7 +2,7 @@
 // inclusive duration and self time (duration minus the part of it that child
 // spans on the same thread cover), plus the few per-span details the
 // per-layer metrics need (forward durations by phase, rows normalized by
-// norm spans, worker time outside any span).
+// norm spans, untraced worker time after each forward).
 #pragma once
 
 #include <cstdint>
@@ -24,8 +24,12 @@ struct TraceStats {
   /// Durations (ms) of serve "forward" spans by phase tag; untagged spans
   /// (whole-request mega-batch forwards) count as "prefill".
   std::map<std::string, std::vector<double>> forward_ms;
-  /// Σ over "worker-*" threads of (first to last event) minus the time their
-  /// top-level spans cover: work outside any span plus waiting for work.
+  /// Σ over "worker-*" threads of the untraced time from each top-level
+  /// "forward" span's end to the end of the last top-level "complete" span
+  /// before the thread's next other top-level span: checksums, logits and
+  /// session bookkeeping of the pack's requests up to its last completion.
+  /// A pack that completes no request adds nothing, because the existing
+  /// spans cannot tell its bookkeeping from the scheduler's wait for work.
   double worker_untraced_ms = 0.0;
 
   const SpanTotals& span(const std::string& name) const;
